@@ -322,7 +322,8 @@ impl SubgroupAuditor {
             n,
             total_pos,
             max_depth: self.max_depth,
-            min_support: self.min_support,
+            // An empty subgroup has no rate to test.
+            min_support: self.min_support.max(1),
             alpha: self.alpha,
         };
         let seeds: Vec<(usize, u32)> = views
@@ -431,7 +432,7 @@ impl SubgroupAuditor {
             }
         }
         while let Some((last_ci, conds, rows)) = stack.pop() {
-            if rows.len() >= self.min_support && rows.len() < n {
+            if rows.len() >= self.min_support.max(1) && rows.len() < n {
                 let pos = rows.iter().filter(|&&i| decisions[i]).count();
                 let comp_n = n - rows.len();
                 let comp_pos = total_pos - pos;
@@ -575,7 +576,7 @@ pub fn tree_audit(
             .enumerate()
             .filter_map(|(i, row)| member(row).then_some(i))
             .collect();
-        if rows.len() < min_support || rows.len() == n {
+        if rows.len() < min_support.max(1) || rows.len() == n {
             continue;
         }
         let pos = rows.iter().filter(|&&i| decisions[i]).count();
@@ -699,6 +700,36 @@ mod tests {
             .audit_dataset(&ds, &["gender", "race"], true)
             .unwrap();
         assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn zero_min_support_never_tests_an_empty_subgroup() {
+        // Level "c" has no rows: with `min_support: 0` its subgroup used
+        // to reach the z-test with n = 0 and panic.
+        let codes: Vec<u32> = (0..40).map(|i| (i % 2) as u32).collect();
+        let decisions: Vec<bool> = (0..40).map(|i| i % 3 == 0).collect();
+        let ds = Dataset::builder()
+            .categorical_with_role(
+                "g",
+                vec!["a", "b", "c"],
+                codes,
+                fairbridge_tabular::Role::Protected,
+            )
+            .build()
+            .unwrap();
+        let zero = SubgroupAuditor {
+            min_support: 0,
+            alpha: 1.0,
+            ..SubgroupAuditor::default()
+        };
+        let one = SubgroupAuditor {
+            min_support: 1,
+            ..zero.clone()
+        };
+        let lattice = zero.audit(&ds, &["g"], &decisions).unwrap();
+        assert_eq!(lattice, one.audit(&ds, &["g"], &decisions).unwrap());
+        assert_eq!(lattice, zero.audit_naive(&ds, &["g"], &decisions).unwrap());
+        assert!(tree_audit(&ds, &["g"], &decisions, 2, 0).is_ok());
     }
 
     #[test]

@@ -257,7 +257,7 @@ impl Engine {
                 });
             }
         }
-        let has_labels = labels.is_some();
+        let empty = partition.empty_accumulator(labels.is_some())?;
         let shard_size = self.config.shard_size.max(1);
         let n_shards = n.div_ceil(shard_size).max(1);
         // Size-aware dispatch: one unit ≈ one row observed. Small
@@ -318,7 +318,7 @@ impl Engine {
         };
 
         if workers <= 1 {
-            let mut acc = partition.empty_accumulator(has_labels);
+            let mut acc = empty;
             for s in 0..n_shards {
                 scan_shard(s, &mut acc);
             }
@@ -334,14 +334,14 @@ impl Engine {
         // happens on this thread in ascending shard order — the shared
         // deterministic fan-out, same as the subgroup lattice.
         let shard_accs = ordered_parallel_map(n_shards, workers, |s| {
-            let mut acc = partition.empty_accumulator(has_labels);
+            let mut acc = empty.clone();
             scan_shard(s, &mut acc);
             acc
         });
         drop(scan_span);
 
         let _merge_span = self.telemetry.span("engine.merge");
-        let mut merged = partition.empty_accumulator(has_labels);
+        let mut merged = empty;
         for acc in &shard_accs {
             merged.merge(acc)?;
         }
@@ -386,6 +386,15 @@ mod tests {
                 .unwrap();
             assert_eq!(acc, reference, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn a_dataset_without_rows_is_an_error_not_a_panic() {
+        let engine = Engine::new(EngineConfig::default());
+        let err = engine
+            .audit(&dataset(0), &AuditSpec::new(&["g"], true))
+            .unwrap_err();
+        assert!(err.to_string().contains("at least one group"), "{err}");
     }
 
     #[test]

@@ -64,10 +64,9 @@ impl Partition {
     }
 
     /// An empty accumulator structurally compatible with this partition.
-    pub fn empty_accumulator(&self, has_labels: bool) -> GroupAccumulator {
-        GroupAccumulator::with_keys(self.keys.clone(), has_labels)
-            // fb-lint: allow(P1): keys come from GroupIndex — sorted and unique by construction
-            .expect("partition keys are sorted and unique")
+    /// A partition of zero rows has no groups and gets an error.
+    pub fn empty_accumulator(&self, has_labels: bool) -> Result<GroupAccumulator, EngineError> {
+        GroupAccumulator::with_keys(self.keys.clone(), has_labels).map_err(EngineError::Stage)
     }
 }
 

@@ -1,9 +1,16 @@
 //! The daemon's JSON wire format: request parsing and deterministic
 //! response rendering.
 //!
-//! Request bodies are parsed with the in-tree [`fairbridge_obs::json`]
-//! parser (the same zero-dependency machinery the telemetry checker
-//! uses). Responses are rendered by hand with a **fixed field order**,
+//! Request bodies are read in one pass with the workspace's JSON reader,
+//! [`fairbridge_obs::json::Reader`]: `codes`, `values` and `levels`
+//! arrays decode straight into `Vec<u32>` / `Vec<f64>` / `Vec<bool>` /
+//! `Vec<String>`, with no `Value` tree. The pass only collects each
+//! member's first occurrence; what the members mean is checked once the
+//! whole body has parsed, so a syntax error anywhere is reported before
+//! any semantic one, and the error texts are those of a `Value`-tree
+//! decode (`tests/wire_differential.rs` holds both to that).
+//!
+//! Responses are rendered by hand with a **fixed field order**,
 //! `BTreeMap`-ordered maps and the same finite-float policy as the
 //! telemetry renderer (`{x}` formatting, `null` for non-finite), so a
 //! given audit result always renders to the same bytes — the daemon's
@@ -29,7 +36,7 @@
 //! ```
 
 use fairbridge_engine::{AuditSpec, Engine};
-use fairbridge_obs::json::{parse, Value};
+use fairbridge_obs::json::{exact_u64, Reader};
 use fairbridge_obs::Telemetry;
 use fairbridge_tabular::{Dataset, Role};
 use std::fmt::Write as _;
@@ -86,84 +93,328 @@ fn parse_role(s: &str) -> Result<Role, String> {
     }
 }
 
-fn str_field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{what}: missing string field {key:?}"))
+fn missing_str(what: &str, key: &str) -> String {
+    format!("{what}: missing string field {key:?}")
 }
 
-fn arr_field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a [Value], String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{what}: missing array field {key:?}"))
+fn missing_arr(what: &str, key: &str) -> String {
+    format!("{what}: missing array field {key:?}")
 }
 
-/// Builds a [`Dataset`] from the wire encoding.
-pub fn parse_dataset(v: &Value) -> Result<Dataset, String> {
-    let columns = arr_field(v, "columns", "dataset")?;
+/// One member of a JSON object as [`fairbridge_obs::json::Value::get`]
+/// sees it: the first occurrence of a key decides, and later duplicates
+/// are only checked.
+#[derive(Default)]
+enum Slot<T> {
+    /// The key did not occur.
+    #[default]
+    Missing,
+    /// Its first value had the wrong JSON type.
+    Wrong,
+    /// Its first value, decoded.
+    Got(T),
+}
+
+impl<T> Slot<T> {
+    /// Decodes the member value under the cursor with `read` (`None`:
+    /// wrong type) into an empty slot; checks and skips it otherwise.
+    fn fill(
+        &mut self,
+        r: &mut Reader<'_>,
+        read: impl FnOnce(&mut Reader<'_>) -> Result<Option<T>, String>,
+    ) -> Result<(), String> {
+        match self {
+            Slot::Missing => {
+                *self = read(r)?.map_or(Slot::Wrong, Slot::Got);
+                Ok(())
+            }
+            _ => r.skip_value(),
+        }
+    }
+
+    fn got(self) -> Option<T> {
+        match self {
+            Slot::Got(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+// Value decoders: each reads one value, returning `None` (after checking
+// and skipping it) when it has the wrong JSON type.
+
+fn is_number(b: Option<u8>) -> bool {
+    matches!(b, Some(b'-' | b'0'..=b'9'))
+}
+
+fn string(r: &mut Reader<'_>) -> Result<Option<String>, String> {
+    if r.peek() == Some(b'"') {
+        Ok(Some(r.string()?.into_owned()))
+    } else {
+        r.skip_value().map(|()| None)
+    }
+}
+
+fn number(r: &mut Reader<'_>) -> Result<Option<f64>, String> {
+    if is_number(r.peek()) {
+        r.number().map(Some)
+    } else {
+        r.skip_value().map(|()| None)
+    }
+}
+
+fn boolean(r: &mut Reader<'_>) -> Result<Option<bool>, String> {
+    if matches!(r.peek(), Some(b't' | b'f')) {
+        r.bool().map(Some)
+    } else {
+        r.skip_value().map(|()| None)
+    }
+}
+
+fn whole(r: &mut Reader<'_>) -> Result<Option<u64>, String> {
+    Ok(number(r)?.and_then(exact_u64))
+}
+
+fn code(r: &mut Reader<'_>) -> Result<Option<u32>, String> {
+    Ok(whole(r)?.and_then(|u| u32::try_from(u).ok()))
+}
+
+/// An array's decoded elements, or `None` when one had the wrong type.
+type Items<T> = Option<Vec<T>>;
+
+/// An array whose elements `item` decodes. After an element of the wrong
+/// type the rest are only checked.
+fn array<T>(
+    r: &mut Reader<'_>,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<Option<T>, String>,
+) -> Result<Option<Items<T>>, String> {
+    if r.peek() != Some(b'[') {
+        return r.skip_value().map(|()| None);
+    }
+    let mut items = Some(Vec::new());
+    let mut more = r.begin_array()?;
+    while more {
+        match items.as_mut() {
+            Some(v) => match item(r)? {
+                Some(x) => v.push(x),
+                None => items = None,
+            },
+            None => r.skip_value()?,
+        }
+        more = r.next_element()?;
+    }
+    Ok(Some(items))
+}
+
+/// A `values` array, decoded before the column's type is known. An empty
+/// array is `Bools` and serves either type.
+enum Values {
+    Bools(Vec<bool>),
+    Nums(Vec<f64>),
+    Neither,
+}
+
+impl Values {
+    fn bools(self) -> Option<Vec<bool>> {
+        match self {
+            Values::Bools(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn nums(self) -> Option<Vec<f64>> {
+        match self {
+            Values::Nums(v) => Some(v),
+            Values::Bools(v) if v.is_empty() => Some(Vec::new()),
+            _ => None,
+        }
+    }
+}
+
+fn values(r: &mut Reader<'_>) -> Result<Option<Values>, String> {
+    if r.peek() != Some(b'[') {
+        return r.skip_value().map(|()| None);
+    }
+    let mut values = Values::Bools(Vec::new());
+    let mut more = r.begin_array()?;
+    while more {
+        let next = r.peek();
+        match &mut values {
+            Values::Bools(v) if matches!(next, Some(b't' | b'f')) => v.push(r.bool()?),
+            Values::Nums(v) if is_number(next) => v.push(r.number()?),
+            Values::Bools(v) if v.is_empty() && is_number(next) => {
+                values = Values::Nums(vec![r.number()?]);
+            }
+            _ => {
+                r.skip_value()?;
+                values = Values::Neither;
+            }
+        }
+        more = r.next_element()?;
+    }
+    Ok(Some(values))
+}
+
+/// What one `columns` entry held. A non-object entry holds nothing.
+#[derive(Default)]
+struct ColumnParts {
+    name: Slot<String>,
+    kind: Slot<String>,
+    role: Slot<String>,
+    levels: Slot<Items<String>>,
+    codes: Slot<Items<u32>>,
+    values: Slot<Values>,
+}
+
+fn column(r: &mut Reader<'_>) -> Result<Option<ColumnParts>, String> {
+    let mut col = ColumnParts::default();
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        return Ok(Some(col));
+    }
+    let mut more = r.begin_object()?;
+    while more {
+        match &*r.key()? {
+            "name" => col.name.fill(r, string)?,
+            "type" => col.kind.fill(r, string)?,
+            "role" => col.role.fill(r, string)?,
+            "levels" => col.levels.fill(r, |r| array(r, string))?,
+            "codes" => col.codes.fill(r, |r| array(r, code))?,
+            "values" => col.values.fill(r, values)?,
+            _ => r.skip_value()?,
+        }
+        more = r.next_member()?;
+    }
+    Ok(Some(col))
+}
+
+/// The `columns` member of a `dataset` object.
+type Columns = Slot<Items<ColumnParts>>;
+
+fn dataset(r: &mut Reader<'_>) -> Result<Option<Columns>, String> {
+    if r.peek() != Some(b'{') {
+        return r.skip_value().map(|()| None);
+    }
+    let mut columns = Columns::default();
+    let mut more = r.begin_object()?;
+    while more {
+        match &*r.key()? {
+            "columns" => columns.fill(r, |r| array(r, column))?,
+            _ => r.skip_value()?,
+        }
+        more = r.next_member()?;
+    }
+    Ok(Some(columns))
+}
+
+/// Everything either endpoint reads from a request body, collected in
+/// one pass over it.
+#[derive(Default)]
+struct RequestParts {
+    dataset: Slot<Columns>,
+    protected: Slot<Items<String>>,
+    use_labels: Slot<bool>,
+    tolerance: Slot<f64>,
+    min_group_size: Slot<u64>,
+    subgroup_depth: Slot<u64>,
+    technique: Slot<String>,
+}
+
+/// Reads a request body in one pass. Only UTF-8 and syntax errors are
+/// reported here; what the parts mean is checked afterwards, so a
+/// syntax error anywhere wins over a semantic one.
+fn decode(body: &[u8]) -> Result<RequestParts, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
+    let mut r = Reader::new(text);
+    let mut req = RequestParts::default();
+    if r.peek() == Some(b'{') {
+        let mut more = r.begin_object()?;
+        while more {
+            match &*r.key()? {
+                "dataset" => req.dataset.fill(&mut r, dataset)?,
+                "protected" => req.protected.fill(&mut r, |r| array(r, string))?,
+                "use_labels" => req.use_labels.fill(&mut r, boolean)?,
+                "tolerance" => req.tolerance.fill(&mut r, number)?,
+                "min_group_size" => req.min_group_size.fill(&mut r, whole)?,
+                "subgroup_depth" => req.subgroup_depth.fill(&mut r, whole)?,
+                "technique" => req.technique.fill(&mut r, string)?,
+                _ => r.skip_value()?,
+            }
+            more = r.next_member()?;
+        }
+    } else {
+        r.skip_value()?;
+    }
+    r.finish()?;
+    Ok(req)
+}
+
+/// Builds the [`Dataset`], checking the parts in wire-encoding order:
+/// columns in turn, and within each its name, type, role, then arrays.
+fn build_dataset(dataset: Slot<Columns>) -> Result<Dataset, String> {
+    let columns = match dataset {
+        Slot::Missing => return Err("request: missing dataset".to_owned()),
+        Slot::Wrong => None,
+        Slot::Got(columns) => columns.got().flatten(),
+    }
+    .ok_or_else(|| missing_arr("dataset", "columns"))?;
     if columns.is_empty() {
         return Err("dataset: columns must be non-empty".to_owned());
     }
     let mut builder = Dataset::builder();
     for col in columns {
-        let name = str_field(col, "name", "column")?;
-        let kind = str_field(col, "type", "column")?;
-        let role = parse_role(col.get("role").and_then(Value::as_str).unwrap_or("feature"))?;
-        match kind {
+        let name = col
+            .name
+            .got()
+            .ok_or_else(|| missing_str("column", "name"))?;
+        let kind = col
+            .kind
+            .got()
+            .ok_or_else(|| missing_str("column", "type"))?;
+        let role = parse_role(col.role.got().as_deref().unwrap_or("feature"))?;
+        builder = match kind.as_str() {
             "categorical" => {
-                let levels: Vec<String> = arr_field(col, "levels", "categorical column")?
-                    .iter()
-                    .map(|l| {
-                        l.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| format!("column {name:?}: levels must be strings"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let codes: Vec<u32> = arr_field(col, "codes", "categorical column")?
-                    .iter()
-                    .map(|c| {
-                        c.as_u64()
-                            .and_then(|u| u32::try_from(u).ok())
-                            .ok_or_else(|| format!("column {name:?}: codes must be small ints"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                builder = builder.categorical_with_role(name, levels, codes, role);
+                let levels = col
+                    .levels
+                    .got()
+                    .ok_or_else(|| missing_arr("categorical column", "levels"))?
+                    .ok_or_else(|| format!("column {name:?}: levels must be strings"))?;
+                let codes = col
+                    .codes
+                    .got()
+                    .ok_or_else(|| missing_arr("categorical column", "codes"))?
+                    .ok_or_else(|| format!("column {name:?}: codes must be small ints"))?;
+                builder.categorical_with_role(&name, levels, codes, role)
             }
             "boolean" => {
-                let values: Vec<bool> = arr_field(col, "values", "boolean column")?
-                    .iter()
-                    .map(|b| {
-                        b.as_bool()
-                            .ok_or_else(|| format!("column {name:?}: values must be booleans"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                builder = builder.boolean_with_role(name, values, role);
+                let values = col
+                    .values
+                    .got()
+                    .ok_or_else(|| missing_arr("boolean column", "values"))?
+                    .bools()
+                    .ok_or_else(|| format!("column {name:?}: values must be booleans"))?;
+                builder.boolean_with_role(&name, values, role)
             }
             "numeric" => {
-                let values: Vec<f64> = arr_field(col, "values", "numeric column")?
-                    .iter()
-                    .map(|x| {
-                        x.as_f64()
-                            .ok_or_else(|| format!("column {name:?}: values must be numbers"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                builder = builder.numeric_with_role(name, values, role);
+                let values = col
+                    .values
+                    .got()
+                    .ok_or_else(|| missing_arr("numeric column", "values"))?
+                    .nums()
+                    .ok_or_else(|| format!("column {name:?}: values must be numbers"))?;
+                builder.numeric_with_role(&name, values, role)
             }
             other => return Err(format!("column {name:?}: unknown type {other:?}")),
-        }
+        };
     }
     builder.build().map_err(|e| e.to_string())
 }
 
-fn parse_protected(v: &Value) -> Result<Vec<String>, String> {
-    let protected: Vec<String> = arr_field(v, "protected", "request")?
-        .iter()
-        .map(|p| {
-            p.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| "protected entries must be strings".to_owned())
-        })
-        .collect::<Result<_, _>>()?;
+fn build_protected(protected: Slot<Items<String>>) -> Result<Vec<String>, String> {
+    let protected = protected
+        .got()
+        .ok_or_else(|| missing_arr("request", "protected"))?
+        .ok_or_else(|| "protected entries must be strings".to_owned())?;
     if protected.is_empty() {
         return Err("request: protected must be non-empty".to_owned());
     }
@@ -180,23 +431,18 @@ pub struct AuditRequest {
 
 /// Parses a `POST /audit` body.
 pub fn parse_audit_request(body: &[u8]) -> Result<AuditRequest, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = parse(text)?;
-    let dataset = parse_dataset(
-        v.get("dataset")
-            .ok_or_else(|| "request: missing dataset".to_owned())?,
-    )?;
-    let protected = parse_protected(&v)?;
-    let use_labels = v.get("use_labels").and_then(Value::as_bool).unwrap_or(true);
+    let req = decode(body)?;
+    let dataset = build_dataset(req.dataset)?;
+    let protected = build_protected(req.protected)?;
     let refs: Vec<&str> = protected.iter().map(String::as_str).collect();
-    let mut spec = AuditSpec::new(&refs, use_labels);
-    if let Some(t) = v.get("tolerance").and_then(Value::as_f64) {
+    let mut spec = AuditSpec::new(&refs, req.use_labels.got().unwrap_or(true));
+    if let Some(t) = req.tolerance.got() {
         spec.config.tolerance = t;
     }
-    if let Some(m) = v.get("min_group_size").and_then(Value::as_u64) {
+    if let Some(m) = req.min_group_size.got() {
         spec.config.min_group_size = m as usize;
     }
-    if let Some(d) = v.get("subgroup_depth").and_then(Value::as_u64) {
+    if let Some(d) = req.subgroup_depth.got() {
         spec.config.subgroup_depth = d as usize;
     }
     Ok(AuditRequest { dataset, spec })
@@ -214,22 +460,11 @@ pub struct MitigateRequest {
 
 /// Parses a `POST /mitigate` body.
 pub fn parse_mitigate_request(body: &[u8]) -> Result<MitigateRequest, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = parse(text)?;
-    let dataset = parse_dataset(
-        v.get("dataset")
-            .ok_or_else(|| "request: missing dataset".to_owned())?,
-    )?;
-    let protected = parse_protected(&v)?;
-    let technique = v
-        .get("technique")
-        .and_then(Value::as_str)
-        .unwrap_or("reweigh")
-        .to_owned();
+    let req = decode(body)?;
     Ok(MitigateRequest {
-        dataset,
-        protected,
-        technique,
+        dataset: build_dataset(req.dataset)?,
+        protected: build_protected(req.protected)?,
+        technique: req.technique.got().unwrap_or_else(|| "reweigh".to_owned()),
     })
 }
 
@@ -245,6 +480,12 @@ pub fn handle_audit(engine: &Engine, body: &[u8], telemetry: &Telemetry) -> Payl
             Err(e) => return error_payload(400, &e),
         }
     };
+    audit_payload(engine, &req, telemetry)
+}
+
+/// Executes a parsed `/audit` request and renders the response payload
+/// (422 when the engine refuses it).
+pub fn audit_payload(engine: &Engine, req: &AuditRequest, telemetry: &Telemetry) -> Payload {
     let report = match engine.audit(&req.dataset, &req.spec) {
         Ok(r) => r,
         Err(e) => return error_payload(422, &e.to_string()),
@@ -328,6 +569,12 @@ pub fn handle_mitigate(body: &[u8], telemetry: &Telemetry) -> Payload {
             Err(e) => return error_payload(400, &e),
         }
     };
+    mitigate_payload(&req, telemetry)
+}
+
+/// Executes a parsed `/mitigate` request and renders the response
+/// payload (422 for an unknown technique or a failed reweigh).
+pub fn mitigate_payload(req: &MitigateRequest, telemetry: &Telemetry) -> Payload {
     if req.technique != "reweigh" {
         return error_payload(
             422,

@@ -525,6 +525,38 @@ fn connections_beyond_the_cap_are_refused_with_503() {
 }
 
 #[test]
+fn deeply_nested_body_is_400_and_the_daemon_keeps_serving() {
+    let (handle, _telemetry) = start_server(1, 4);
+    let addr = handle.addr().to_string();
+
+    // 200 KB of `[`×100k `]`×100k: unbounded recursive descent overflows
+    // a worker's stack on this and aborts the whole process.
+    let nested = "[".repeat(100_000) + &"]".repeat(100_000);
+    let (mut stream, mut reader) = load::connect(&addr).expect("connect");
+    for endpoint in ["/audit", "/mitigate"] {
+        let resp = load::request_on(
+            &mut stream,
+            &mut reader,
+            "POST",
+            endpoint,
+            "hostile",
+            nested.as_bytes(),
+        )
+        .expect("nested request");
+        assert_eq!(resp.status, 400, "{endpoint}");
+        let body = String::from_utf8(resp.body).expect("UTF-8 error body");
+        assert!(body.contains("nesting deeper than"), "{body}");
+    }
+
+    let ok = post_audit(&addr, "friendly", &synthetic_audit_body(0));
+    assert_eq!(ok.status, 200, "the daemon must keep serving");
+
+    let summary = handle.drain();
+    assert_eq!(summary.received, 3);
+    assert_eq!(summary.received, summary.completed + summary.rejected);
+}
+
+#[test]
 fn healthz_and_unknown_routes() {
     let (handle, _telemetry) = start_server(1, 4);
     let addr = handle.addr().to_string();
