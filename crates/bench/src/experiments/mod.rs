@@ -133,22 +133,49 @@ pub fn run_all_traced(seed: u64, telemetry: &Telemetry) -> Vec<ExperimentResult>
 mod tests {
     use super::*;
 
-    #[test]
-    fn every_experiment_runs_and_passes() {
-        for id in EXPERIMENT_IDS {
-            let result = run_one(id, 424_242).unwrap();
-            assert_eq!(result.id, id);
-            assert!(
-                result.all_passed(),
-                "{id} failed checks: {:#?}",
-                result
-                    .checks
-                    .iter()
-                    .filter(|c| !c.passed)
-                    .collect::<Vec<_>>()
-            );
-            assert!(!result.table.is_empty());
-        }
+    fn runs_and_passes(id: &str) {
+        let result = run_one(id, 424_242).unwrap();
+        assert_eq!(result.id, id);
+        assert!(
+            result.all_passed(),
+            "{id} failed checks: {:#?}",
+            result
+                .checks
+                .iter()
+                .filter(|c| !c.passed)
+                .collect::<Vec<_>>()
+        );
+        assert!(!result.table.is_empty());
+    }
+
+    /// One test per experiment, so the test harness can run them in
+    /// parallel; `covers_every_id` keeps the list equal to
+    /// [`EXPERIMENT_IDS`].
+    macro_rules! every_experiment {
+        ($($test:ident => $id:literal),* $(,)?) => {
+            mod every_experiment_runs_and_passes {
+                const IDS: &[&str] = &[$($id),*];
+
+                $(
+                    #[test]
+                    fn $test() {
+                        super::runs_and_passes($id);
+                    }
+                )*
+
+                #[test]
+                fn covers_every_id() {
+                    assert_eq!(IDS, super::EXPERIMENT_IDS);
+                }
+            }
+        };
+    }
+
+    every_experiment! {
+        e1 => "E1", e2 => "E2", e3 => "E3", e4 => "E4", e5 => "E5",
+        e6 => "E6", e7 => "E7", e8 => "E8", e9 => "E9", e10 => "E10",
+        e11 => "E11", e12 => "E12", e13 => "E13", e14 => "E14", e15 => "E15",
+        e16 => "E16", e17 => "E17", e18 => "E18", e19 => "E19",
     }
 
     #[test]

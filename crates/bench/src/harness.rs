@@ -51,6 +51,7 @@
 //! applies the same comparison to pre-recorded `FB_BENCH_JSON` files
 //! without re-running anything.
 
+use fairbridge_obs::json;
 use std::fmt::Display;
 use std::fs::OpenOptions;
 use std::hint::black_box;
@@ -159,9 +160,8 @@ fn thread_count() -> usize {
 
 /// A short CPU model description (`/proc/cpuinfo` on Linux, the target
 /// arch elsewhere), recorded in each JSON record so baselines carry the
-/// machine they were measured on. Public because `fb-tune` stamps the
-/// same metadata into `tune_profile.json`.
-pub fn cpu_model() -> &'static str {
+/// machine they were measured on.
+fn cpu_model() -> &'static str {
     static CPU: OnceLock<String> = OnceLock::new();
     CPU.get_or_init(|| {
         if let Ok(text) = std::fs::read_to_string("/proc/cpuinfo") {
@@ -208,19 +208,23 @@ impl BenchRecord {
             Some(x) => format!("{x:.1}"),
             None => "null".to_owned(),
         };
-        format!(
-            "{{\"label\":\"{}\",\"mode\":\"{}\",\"samples\":{},\"warmup\":{},\
-             \"min_ns\":{},\"median_ns\":{},\"mean_ns\":{},\"threads\":{},\"cpu\":\"{}\"}}",
-            json_escape(&self.label),
-            json_escape(&self.mode),
+        let mut s = String::from("{\"label\":");
+        json::push_str(&mut s, &self.label);
+        s.push_str(",\"mode\":");
+        json::push_str(&mut s, &self.mode);
+        s.push_str(&format!(
+            ",\"samples\":{},\"warmup\":{},\"min_ns\":{},\"median_ns\":{},\"mean_ns\":{},\
+             \"threads\":{},\"cpu\":",
             self.samples,
             self.warmup,
             fmt_opt(self.min_ns),
             fmt_opt(self.median_ns),
             fmt_opt(self.mean_ns),
             self.threads,
-            json_escape(&self.cpu),
-        )
+        ));
+        json::push_str(&mut s, &self.cpu);
+        s.push('}');
+        s
     }
 }
 
@@ -264,19 +268,6 @@ fn json_out() -> Option<&'static Mutex<std::fs::File>> {
         Some(Mutex::new(file))
     })
     .as_ref()
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Appends one benchmark record to the `FB_BENCH_JSON` sidecar, if
@@ -955,9 +946,19 @@ mod tests {
 
     #[test]
     fn json_escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("plain/label"), "plain/label");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
+        let mut record =
+            run_one(true, 5, "meta/probe", |b| b.iter(|| black_box(1))).expect("test-mode record");
+        record.label = "a\"b\\c/x\ny\u{1}z".to_owned();
+        let json = record.to_json();
+        assert!(
+            json.starts_with("{\"label\":\"a\\\"b\\\\c/x\\ny\\u0001z\","),
+            "{json}"
+        );
+        let parsed = json::parse(&json).unwrap();
+        assert_eq!(
+            parsed.get("label").and_then(json::Value::as_str),
+            Some(record.label.as_str())
+        );
     }
 
     #[test]

@@ -268,10 +268,7 @@ impl Engine {
             self.threads(),
             n_shards,
             n,
-            fairbridge_tabular::tune::tuned_min_units(
-                "par.min_units_per_worker",
-                fairbridge_tabular::par::MIN_UNITS_PER_WORKER,
-            ),
+            fairbridge_tabular::par::MIN_UNITS_PER_WORKER,
         );
         let recording = self.telemetry.is_enabled();
 

@@ -102,20 +102,8 @@ impl Matrix {
         self.data[i * self.n_cols + j] = v;
     }
 
-    /// Extracts column `j` as a fresh vector.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a Vec per call; use `col_into` with a reused buffer"
-    )]
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.col_into(j, &mut out);
-        out
-    }
-
     /// Writes column `j` into `out` (cleared first), reusing its
-    /// allocation. The allocation-free replacement for the deprecated
-    /// [`Matrix::col`].
+    /// allocation.
     pub fn col_into(&self, j: usize, out: &mut Vec<f64>) {
         assert!(j < self.n_cols, "column {j} out of range");
         out.clear();
@@ -411,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn col_into_reuses_buffer_and_matches_deprecated_col() {
+    fn col_into_reuses_buffer_and_matches_get() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let mut buf = Vec::with_capacity(8);
         m.col_into(0, &mut buf);
@@ -420,9 +408,8 @@ mod tests {
         m.col_into(1, &mut buf);
         assert_eq!(buf, vec![2.0, 4.0, 6.0]);
         assert_eq!(buf.capacity(), cap, "buffer reallocated");
-        #[allow(deprecated)]
-        let owned = m.col(1);
-        assert_eq!(owned, buf);
+        let via_get: Vec<f64> = (0..m.n_rows()).map(|i| m.get(i, 1)).collect();
+        assert_eq!(buf, via_get);
     }
 
     #[test]

@@ -84,7 +84,9 @@ impl Baseline {
                 out.push(',');
             }
             first_file = false;
-            out.push_str(&format!("\n    \"{}\": {{", json_escape(file)));
+            out.push_str("\n    ");
+            json::push_str(&mut out, file);
+            out.push_str(": {");
             let mut first_rule = true;
             for (rule, n) in per_rule {
                 if !first_rule {
@@ -283,32 +285,17 @@ pub fn report_json(
             out.push(',');
         }
         first = false;
+        out.push_str("{\"file\":");
+        json::push_str(&mut out, &f.file);
         out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&f.file),
+            ",\"line\":{},\"rule\":\"{}\",\"message\":",
             f.line,
-            f.rule.id(),
-            json_escape(&f.message)
+            f.rule.id()
         ));
+        json::push_str(&mut out, &f.message);
+        out.push('}');
     }
     out.push_str("]}");
-    out
-}
-
-/// Escapes a string for embedding in JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -10,9 +10,11 @@
 //! breached — not a boolean that evaporates once printed.
 //!
 //! Serialization is hand-rolled JSON (one object per line, stable
-//! `"kind"` discriminator) so the crate stays dependency-free; the
-//! matching parser lives in [`crate::json`].
+//! `"kind"` discriminator) so the crate stays dependency-free; strings
+//! and floats go through [`crate::json`]'s writer, next to the parser
+//! that reads them back.
 
+use crate::json::{push_f64, push_str};
 use std::fmt::Write as _;
 
 /// The envelope around one telemetry record.
@@ -266,35 +268,6 @@ impl FairnessEvent {
     }
 }
 
-/// Appends `s` as a JSON string literal (quoted, escaped).
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends an `f64` as a JSON number, or `null` when not finite (JSON has
-/// no NaN/Infinity).
-fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_opt_u64(out: &mut String, v: Option<u64>) {
     match v {
         Some(v) => {
@@ -321,16 +294,16 @@ impl Event {
         match &self.kind {
             EventKind::SpanStart { name } => {
                 s.push_str(",\"name\":");
-                push_str_lit(&mut s, name);
+                push_str(&mut s, name);
             }
             EventKind::SpanEnd { name, elapsed_ns } => {
                 s.push_str(",\"name\":");
-                push_str_lit(&mut s, name);
+                push_str(&mut s, name);
                 let _ = write!(s, ",\"elapsed_ns\":{elapsed_ns}");
             }
             EventKind::Counter { name, value } => {
                 s.push_str(",\"name\":");
-                push_str_lit(&mut s, name);
+                push_str(&mut s, name);
                 let _ = write!(s, ",\"value\":{value}");
             }
             EventKind::Histogram {
@@ -341,7 +314,7 @@ impl Event {
                 max,
             } => {
                 s.push_str(",\"name\":");
-                push_str_lit(&mut s, name);
+                push_str(&mut s, name);
                 let _ = write!(
                     s,
                     ",\"count\":{count},\"sum\":{sum},\"min\":{min},\"max\":{max}"
@@ -358,7 +331,7 @@ impl Event {
                         if i > 0 {
                             s.push(',');
                         }
-                        push_str_lit(&mut s, p);
+                        push_str(&mut s, p);
                     }
                     let _ = write!(s, "],\"use_labels\":{use_labels}");
                 }
@@ -373,7 +346,7 @@ impl Event {
                         if i > 0 {
                             s.push(',');
                         }
-                        push_str_lit(&mut s, c);
+                        push_str(&mut s, c);
                     }
                     let _ = write!(
                         s,
@@ -414,9 +387,9 @@ impl Event {
                 }
                 FairnessEvent::MitigationApplied { technique, detail } => {
                     s.push_str(",\"technique\":");
-                    push_str_lit(&mut s, technique);
+                    push_str(&mut s, technique);
                     s.push_str(",\"detail\":");
-                    push_str_lit(&mut s, detail);
+                    push_str(&mut s, detail);
                 }
                 FairnessEvent::LintCompleted {
                     files_scanned,
@@ -430,9 +403,9 @@ impl Event {
                 }
                 FairnessEvent::RequestReceived { tenant, endpoint } => {
                     s.push_str(",\"tenant\":");
-                    push_str_lit(&mut s, tenant);
+                    push_str(&mut s, tenant);
                     s.push_str(",\"endpoint\":");
-                    push_str_lit(&mut s, endpoint);
+                    push_str(&mut s, endpoint);
                 }
                 FairnessEvent::RequestCompleted {
                     tenant,
@@ -442,9 +415,9 @@ impl Event {
                     elapsed_ns,
                 } => {
                     s.push_str(",\"tenant\":");
-                    push_str_lit(&mut s, tenant);
+                    push_str(&mut s, tenant);
                     s.push_str(",\"endpoint\":");
-                    push_str_lit(&mut s, endpoint);
+                    push_str(&mut s, endpoint);
                     let _ = write!(
                         s,
                         ",\"status\":{status},\"coalesced\":{coalesced},\"elapsed_ns\":{elapsed_ns}"
@@ -456,9 +429,9 @@ impl Event {
                     status,
                 } => {
                     s.push_str(",\"tenant\":");
-                    push_str_lit(&mut s, tenant);
+                    push_str(&mut s, tenant);
                     s.push_str(",\"endpoint\":");
-                    push_str_lit(&mut s, endpoint);
+                    push_str(&mut s, endpoint);
                     let _ = write!(s, ",\"status\":{status}");
                 }
                 FairnessEvent::RequestCoalesced {
@@ -466,7 +439,7 @@ impl Event {
                     fingerprint,
                 } => {
                     s.push_str(",\"tenant\":");
-                    push_str_lit(&mut s, tenant);
+                    push_str(&mut s, tenant);
                     let _ = write!(s, ",\"fingerprint\":\"{fingerprint:#018x}\"");
                 }
                 FairnessEvent::ServerDrained {
@@ -483,7 +456,7 @@ impl Event {
                     bad,
                 } => {
                     s.push_str(",\"tenant\":");
-                    push_str_lit(&mut s, tenant);
+                    push_str(&mut s, tenant);
                     s.push_str(",\"objective_ms\":");
                     push_f64(&mut s, *objective_ms);
                     s.push_str(",\"burn_rate\":");
@@ -498,7 +471,7 @@ impl Event {
                     tolerance,
                 } => {
                     s.push_str(",\"label\":");
-                    push_str_lit(&mut s, label);
+                    push_str(&mut s, label);
                     s.push_str(",\"baseline_ns\":");
                     push_f64(&mut s, *baseline_ns);
                     s.push_str(",\"current_ns\":");

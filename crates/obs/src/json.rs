@@ -1,8 +1,18 @@
-//! The workspace's one JSON reader.
+//! The workspace's one JSON reader and writer.
 //!
-//! The sinks *write* JSON by hand ([`Event::to_json`]); everything that
-//! reads JSON goes through [`Reader`], a pull-style cursor over the bytes
-//! of one document. It has two kinds of consumer:
+//! Everything that writes JSON (telemetry events, daemon responses and
+//! `/metrics`, lint baselines and reports, bench sidecars, trace
+//! reports) builds its text with [`push_str`] and [`push_f64`], so every
+//! string is escaped one way and every float is written one way:
+//!
+//! - [`push_str`] escapes `"`, `\`, `\n`, `\r` and `\t`, and writes
+//!   any other byte below 0x20 as `\u00XX`;
+//! - [`push_f64`] writes a finite `f64` with Rust's shortest round-trip
+//!   formatting and a non-finite one as `null` (JSON has no NaN or
+//!   Infinity).
+//!
+//! Everything that reads JSON goes through [`Reader`], a pull-style
+//! cursor over the bytes of one document. It has two kinds of consumer:
 //!
 //! - [`parse`] / [`parse_lines`] build a [`Value`] tree from it, for
 //!   telemetry trails, lint and bench baselines and `fb-load`'s
@@ -13,7 +23,9 @@
 //!
 //! Both accept the same grammar and report the same errors, because both
 //! are the same code. Objects, arrays, strings with escapes, numbers,
-//! booleans and null are read; numbers are read as `f64`.
+//! booleans and null are read; numbers are read as `f64`. What the
+//! writer produces, the reader returns unchanged: a string comes back
+//! byte for byte and a finite float bit for bit.
 //!
 //! Two properties matter for a daemon that reads untrusted bodies:
 //!
@@ -27,10 +39,9 @@
 //!   `m / 10^k`: both operands are exact `f64`s and IEEE division rounds
 //!   correctly, so the result is bitwise-equal to `str::parse::<f64>`.
 //!   Every other number goes through `str::parse`.
-//!
-//! [`Event::to_json`]: crate::event::Event::to_json
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// How deep arrays and objects may nest before the reader gives up.
 pub const MAX_DEPTH: usize = 128;
@@ -108,6 +119,46 @@ impl Value {
 pub fn exact_u64(x: f64) -> Option<u64> {
     // `x as u64` truncates, so the round trip is exact iff `x` is whole.
     (x >= 0.0 && x <= 2f64.powi(53) && (x as u64) as f64 == x).then_some(x as u64)
+}
+
+/// Appends `s` as a JSON string literal: quoted, with `"`, `\`, `\n`,
+/// `\r` and `\t` escaped and every other byte below 0x20 written as
+/// `\u00XX`. Everything else, non-ASCII included, is copied as is.
+pub fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    // Escapable bytes are all ASCII, so every index where one sits is a
+    // char boundary and the runs between them can be copied whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends `x` as a JSON number in Rust's shortest round-trip form, or
+/// `null` when it is not finite.
+pub fn push_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Parses one complete JSON document; trailing non-whitespace is an error.
@@ -761,6 +812,87 @@ mod tests {
         }
         assert!(accepted > 100_000, "only {accepted} accepted");
         assert!(fast > 15_000, "only {fast} on the fast path");
+    }
+
+    /// One random char: control characters, quotes and backslashes
+    /// often, otherwise ASCII, a few fixed non-ASCII ones (two-, three-
+    /// and four-byte UTF-8) or any scalar value.
+    fn random_char(rng: &mut StdRng) -> char {
+        match rng.gen_range(0..6usize) {
+            0 => char::from(rng.gen_range(0..0x20u64) as u8),
+            1 => ['"', '\\', '/', '\u{7f}'][rng.gen_range(0..4usize)],
+            2 => ['\u{e9}', '\u{2028}', '\u{fffd}', '\u{1F600}'][rng.gen_range(0..4usize)],
+            3 => loop {
+                if let Some(c) = char::from_u32(rng.gen_range(0..0x11_0000u64) as u32) {
+                    break c;
+                }
+            },
+            _ => char::from(rng.gen_range(0x20..0x7fu64) as u8),
+        }
+    }
+
+    #[test]
+    fn written_strings_read_back_unchanged() {
+        let mut rng = StdRng::seed_from_u64(0x7772_6974);
+        let mut text = String::new();
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..24usize);
+            let s: String = (0..len).map(|_| random_char(&mut rng)).collect();
+            text.clear();
+            push_str(&mut text, &s);
+            assert_eq!(parse(&text), Ok(Value::Str(s.clone())), "{s:?} -> {text:?}");
+        }
+        // Every byte below 0x20 once, in one string.
+        let all: String = (0..0x20u8).map(char::from).collect();
+        text.clear();
+        push_str(&mut text, &all);
+        assert_eq!(
+            text,
+            "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\
+             \\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\""
+        );
+        assert_eq!(parse(&text), Ok(Value::Str(all)));
+    }
+
+    #[test]
+    fn written_floats_read_back_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x6636_3462);
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.1,
+            1e21,
+            1e-7,
+            9_007_199_254_740_993.0,
+        ];
+        let random = (0..100_000).map(|i| {
+            if i % 2 == 0 {
+                // Any finite bit pattern: all exponents, subnormals included.
+                f64::from_bits(rng.next_u64())
+            } else {
+                // Human-scale values, which take the reader's fast path.
+                (rng.gen_range(-1_000_000..1_000_000i64) as f64)
+                    / 10f64.powi(rng.gen_range(0..8usize) as i32)
+            }
+        });
+        let mut text = String::new();
+        for x in edges.into_iter().chain(random).filter(|x| x.is_finite()) {
+            text.clear();
+            push_f64(&mut text, x);
+            let back = parse(&text).ok().and_then(|v| v.as_f64());
+            assert_eq!(back.map(f64::to_bits), Some(x.to_bits()), "{x:e} -> {text}");
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            text.clear();
+            push_f64(&mut text, x);
+            assert_eq!(text, "null");
+        }
     }
 
     #[test]

@@ -17,6 +17,10 @@ use std::net::TcpStream;
 /// Upper bound on a single header line (request line included).
 const MAX_LINE_BYTES: usize = 16 * 1024;
 
+/// Upper bound on the number of header lines in one request. With
+/// [`MAX_LINE_BYTES`] this bounds a request head at about 1.6 MiB.
+const MAX_HEADER_LINES: usize = 100;
+
 /// How many read-timeout periods a client that has *started* a request
 /// gets to finish sending it before the daemon gives up. At the 100 ms
 /// default socket timeout this is ~5 s of cumulative stall. Between
@@ -118,6 +122,7 @@ pub fn read_request(
     }
 
     let mut headers = BTreeMap::new();
+    let mut lines = 0;
     let mut timeout_budget = MID_REQUEST_TIMEOUT_BUDGET;
     loop {
         let mut hl = String::new();
@@ -134,6 +139,10 @@ pub fn read_request(
         if hl.is_empty() {
             break;
         }
+        if lines == MAX_HEADER_LINES {
+            return Err(format!("more than {MAX_HEADER_LINES} header lines"));
+        }
+        lines += 1;
         let Some((name, value)) = hl.split_once(':') else {
             return Err(format!("malformed header line: {hl:?}"));
         };

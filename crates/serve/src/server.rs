@@ -49,7 +49,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::slo::{SloConfig, SloTracker};
 use crate::wire;
 use fairbridge_engine::{Engine, EngineConfig};
-use fairbridge_obs::{FairnessEvent, Telemetry};
+use fairbridge_obs::{json, FairnessEvent, Telemetry};
 use fairbridge_tabular::par::{spawn_named, WorkerPool};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write as _};
@@ -400,6 +400,10 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
     if stream.set_read_timeout(Some(timeout)).is_err() {
         return;
     }
+    // Each response goes out in one write; without this, Nagle holds
+    // back the tail segment of a large one until the client's delayed
+    // ACK arrives.
+    drop(stream.set_nodelay(true));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -655,7 +659,7 @@ fn metrics(shared: &Arc<Shared>) -> Payload {
         if i > 0 {
             s.push(',');
         }
-        wire::push_str_lit(&mut s, tenant);
+        json::push_str(&mut s, tenant);
         let _ = write!(s, ":{count}");
     }
     s.push('}');
@@ -667,7 +671,7 @@ fn metrics(shared: &Arc<Shared>) -> Payload {
             s.push(',');
         }
         let snap = h.snapshot();
-        wire::push_str_lit(&mut s, name);
+        json::push_str(&mut s, name);
         let _ = write!(
             s,
             ":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
@@ -680,17 +684,17 @@ fn metrics(shared: &Arc<Shared>) -> Payload {
     }
     s.push('}');
     s.push_str(",\"slo\":{\"objective_ms\":");
-    wire::push_f64(&mut s, shared.slo.config().objective_ms);
+    json::push_f64(&mut s, shared.slo.config().objective_ms);
     s.push_str(",\"error_budget\":");
-    wire::push_f64(&mut s, shared.slo.config().error_budget);
+    json::push_f64(&mut s, shared.slo.config().error_budget);
     s.push_str(",\"tenants\":{");
     for (i, t) in shared.slo.snapshot().iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        wire::push_str_lit(&mut s, &t.tenant);
+        json::push_str(&mut s, &t.tenant);
         let _ = write!(s, ":{{\"good\":{},\"bad\":{},\"burn_rate\":", t.good, t.bad);
-        wire::push_f64(&mut s, t.burn_rate);
+        json::push_f64(&mut s, t.burn_rate);
         let _ = write!(s, ",\"in_breach\":{}}}", t.in_breach);
     }
     s.push_str("}}}");

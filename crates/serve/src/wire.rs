@@ -11,9 +11,10 @@
 //! decode (`tests/wire_differential.rs` holds both to that).
 //!
 //! Responses are rendered by hand with a **fixed field order**,
-//! `BTreeMap`-ordered maps and the same finite-float policy as the
-//! telemetry renderer (`{x}` formatting, `null` for non-finite), so a
-//! given audit result always renders to the same bytes — the daemon's
+//! `BTreeMap`-ordered maps and the workspace JSON writer
+//! ([`fairbridge_obs::json::push_str`] / [`push_f64`]: `{x}` formatting,
+//! `null` for non-finite), so a given audit result always renders to the
+//! same bytes — the daemon's
 //! byte-identical-response contract rests on this module plus the
 //! engine's thread-count invariance.
 //!
@@ -36,47 +37,18 @@
 //! ```
 
 use fairbridge_engine::{AuditSpec, Engine};
-use fairbridge_obs::json::{exact_u64, Reader};
+use fairbridge_obs::json::{exact_u64, push_f64, push_str, Reader};
 use fairbridge_obs::Telemetry;
 use fairbridge_tabular::{Dataset, Role};
 use std::fmt::Write as _;
 
 use crate::http::Payload;
 
-/// Appends `s` as a JSON string literal (quoted, escaped) — the same
-/// escaping policy as the telemetry event renderer.
-pub fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends an `f64` as a JSON number, or `null` when not finite.
-pub fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// The deterministic error payload: `{"error": "<msg>"}`.
 pub fn error_payload(status: u16, msg: &str) -> Payload {
     let mut body = String::with_capacity(msg.len() + 12);
     body.push_str("{\"error\":");
-    push_str_lit(&mut body, msg);
+    push_str(&mut body, msg);
     body.push('}');
     Payload::json(status, body)
 }
@@ -501,7 +473,7 @@ pub fn audit_payload(engine: &Engine, req: &AuditRequest, telemetry: &Telemetry)
         if i > 0 {
             s.push(',');
         }
-        push_str_lit(&mut s, p);
+        push_str(&mut s, p);
     }
     let _ = write!(s, "],\"use_labels\":{}", req.spec.use_labels);
     s.push_str(",\"metrics\":[");
@@ -510,7 +482,7 @@ pub fn audit_payload(engine: &Engine, req: &AuditRequest, telemetry: &Telemetry)
             s.push(',');
         }
         s.push_str("{\"metric\":");
-        push_str_lit(&mut s, line.definition.name());
+        push_str(&mut s, line.definition.name());
         s.push_str(",\"gap\":");
         push_f64(&mut s, line.gap);
         s.push_str(",\"fair\":");
@@ -521,7 +493,7 @@ pub fn audit_payload(engine: &Engine, req: &AuditRequest, telemetry: &Telemetry)
             None => s.push_str("null"),
         }
         s.push_str(",\"detail\":");
-        push_str_lit(&mut s, &line.detail);
+        push_str(&mut s, &line.detail);
         s.push('}');
     }
     s.push_str("],\"tolerance\":");
@@ -538,7 +510,7 @@ pub fn audit_payload(engine: &Engine, req: &AuditRequest, telemetry: &Telemetry)
         if i > 0 {
             s.push(',');
         }
-        push_str_lit(&mut s, p);
+        push_str(&mut s, p);
     }
     s.push_str("],\"subgroups\":[");
     for (i, g) in report.subgroups.iter().enumerate() {
@@ -546,7 +518,7 @@ pub fn audit_payload(engine: &Engine, req: &AuditRequest, telemetry: &Telemetry)
             s.push(',');
         }
         s.push_str("{\"subgroup\":");
-        push_str_lit(&mut s, &g.describe());
+        push_str(&mut s, &g.describe());
         let _ = write!(s, ",\"size\":{},\"gap\":", g.size);
         push_f64(&mut s, g.gap);
         s.push_str(",\"p_value\":");
@@ -600,7 +572,7 @@ pub fn mitigate_payload(req: &MitigateRequest, telemetry: &Telemetry) -> Payload
         if i > 0 {
             s.push(',');
         }
-        push_str_lit(&mut s, p);
+        push_str(&mut s, p);
     }
     s.push_str("],\"cell_weights\":[");
     for (i, (group, label, weight)) in result.cell_weights.iter().enumerate() {

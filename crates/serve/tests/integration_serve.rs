@@ -557,6 +557,40 @@ fn deeply_nested_body_is_400_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn too_many_header_lines_is_400_and_the_daemon_keeps_serving() {
+    let (handle, _telemetry) = start_server(1, 4);
+    let addr = handle.addr().to_string();
+
+    // 10 000 distinct headers: each line is short, so only a cap on the
+    // line count keeps the header map from growing with the request.
+    let mut head = String::from("GET /healthz HTTP/1.1\r\nHost: fairbridge\r\n");
+    for i in 0..10_000 {
+        let _ = write!(head, "X-Flood-{i}: {i}\r\n");
+    }
+    head.push_str("\r\n");
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    // The daemon answers and closes before it has read the whole head,
+    // so the tail of this write may be refused; the 400 is already
+    // queued on our side by then.
+    drop(stream.write_all(head.as_bytes()));
+    let mut reader = BufReader::new(stream);
+    let resp = fairbridge_serve::http::read_response(&mut reader).expect("response");
+    assert_eq!(resp.status, 400);
+    let body = String::from_utf8(resp.body).expect("UTF-8 error body");
+    assert!(body.contains("header lines"), "{body}");
+
+    let ok = post_audit(&addr, "friendly", &synthetic_audit_body(0));
+    assert_eq!(ok.status, 200, "the daemon must keep serving");
+
+    let summary = handle.drain();
+    assert_eq!(summary.received, 1);
+    assert_eq!(summary.received, summary.completed + summary.rejected);
+}
+
+#[test]
 fn healthz_and_unknown_routes() {
     let (handle, _telemetry) = start_server(1, 4);
     let addr = handle.addr().to_string();

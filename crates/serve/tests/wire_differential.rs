@@ -460,7 +460,7 @@ fn mutate(rng: &mut StdRng, v: &mut Value) {
 /// (with surrogate pairs beyond the BMP) and some `/` as `\/`.
 fn push_string(rng: &mut StdRng, escape: f64, s: &str, out: &mut String) {
     if !rng.gen_bool(escape) {
-        wire::push_str_lit(out, s);
+        json::push_str(out, s);
         return;
     }
     out.push('"');
@@ -490,7 +490,7 @@ fn render(rng: &mut StdRng, escape: f64, v: &Value, out: &mut String) {
         Value::Bool(b) => {
             let _ = write!(out, "{b}");
         }
-        Value::Num(x) => wire::push_f64(out, *x),
+        Value::Num(x) => json::push_f64(out, *x),
         Value::Str(s) => push_string(rng, escape, s, out),
         Value::Arr(items) => {
             out.push('[');

@@ -12,6 +12,7 @@
 use crate::analyze::{quantile_sorted, Analysis, Breakdown, RequestTrace};
 use crate::reader::ReadStats;
 use crate::tree::Forest;
+use fairbridge_obs::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -226,7 +227,9 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"name\":\"{name}\",\"elapsed_ns\":{elapsed}}}");
+            out.push_str("{\"name\":");
+            json::push_str(&mut out, name);
+            let _ = write!(out, ",\"elapsed_ns\":{elapsed}}}");
         }
         out.push_str("]}");
         out
@@ -282,13 +285,14 @@ impl Report {
 }
 
 fn push_group_json(out: &mut String, g: &GroupSummary) {
+    out.push_str("{\"key\":");
+    json::push_str(out, &g.key);
     let _ = write!(
         out,
-        "{{\"key\":\"{}\",\"n\":{},\"coalesced\":{},\"wall_p50_ms\":{:.6},\
+        ",\"n\":{},\"coalesced\":{},\"wall_p50_ms\":{:.6},\
          \"wall_p99_ms\":{:.6},\"wall_total_ns\":{},\"queue_ns\":{},\
          \"coalesce_ns\":{},\"parse_ns\":{},\"scan_ns\":{},\"serialize_ns\":{},\
          \"other_ns\":{}}}",
-        g.key,
         g.n,
         g.coalesced,
         g.wall_p50_ms,
@@ -389,6 +393,33 @@ mod tests {
                 .and_then(fairbridge_obs::json::Value::as_u64),
             Some(500)
         );
+    }
+
+    #[test]
+    fn json_report_escapes_trail_strings() {
+        // Tenant `a"b\c` and a child span named `wire."parse"`, both
+        // escaped as the telemetry writer escapes them.
+        let text = [
+            request_trail(1, r#"a\"b\\c"#, "/audit", 1_000, 0),
+            r#"{"t_ns":1,"thread":1,"span":2,"parent":1,"kind":"span_start","name":"wire.\"parse\""}"#
+                .to_owned(),
+            r#"{"t_ns":901,"thread":1,"span":2,"parent":1,"kind":"span_end","name":"wire.\"parse\"","elapsed_ns":900}"#
+                .to_owned(),
+        ]
+        .join("\n");
+        let (report, _, _) = report_for(&text);
+        let v = json::parse(&report.render_json()).expect("valid json");
+        let tenants = v.get("tenants").and_then(json::Value::as_arr).unwrap();
+        assert_eq!(
+            tenants[0].get("key").and_then(json::Value::as_str),
+            Some(r#"a"b\c"#)
+        );
+        let path = v.get("slowest_path").and_then(json::Value::as_arr).unwrap();
+        let names: Vec<_> = path
+            .iter()
+            .filter_map(|p| p.get("name").and_then(json::Value::as_str))
+            .collect();
+        assert_eq!(names, ["serve.request", r#"wire."parse""#]);
     }
 
     #[test]
